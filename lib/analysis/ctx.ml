@@ -1,13 +1,7 @@
-type demand_kind = Time | Count
-
 type t = {
   scenario : Traffic.Scenario.t;
   config : Config.t;
   mutable jitters : Jitter_state.t;
-  demands :
-    (Traffic.Flow.id * Network.Node.id * Network.Node.id * demand_kind,
-     Gmf.Demand.t)
-    Hashtbl.t;
 }
 
 let install_source_jitters scenario state =
@@ -29,7 +23,7 @@ let install_source_jitters scenario state =
 let create ?(config = Config.default) scenario =
   let jitters = Jitter_state.create () in
   install_source_jitters scenario jitters;
-  { scenario; config; jitters; demands = Hashtbl.create 64 }
+  { scenario; config; jitters }
 
 let scenario t = t.scenario
 let config t = t.config
@@ -49,20 +43,6 @@ let restore t state =
 
 let params t flow ~src ~dst = Traffic.Scenario.params t.scenario flow ~src ~dst
 
-let demand t flow ~src ~dst kind =
-  let key = (flow.Traffic.Flow.id, src, dst, kind) in
-  match Hashtbl.find_opt t.demands key with
-  | Some d -> d
-  | None ->
-      let p = params t flow ~src ~dst in
-      let d =
-        match kind with
-        | Time -> Traffic.Link_params.time_demand p
-        | Count -> Traffic.Link_params.count_demand p
-      in
-      Hashtbl.replace t.demands key d;
-      d
-
 (* The paper's MXS (eq 10) clamps each window's demand to the interval
    length, which makes MX(0) = 0: with all jitters zero, the queuing-time
    recurrences then accept w = 0 as a fixed point and report no interference
@@ -70,16 +50,20 @@ let demand t flow ~src ~dst kind =
    the classical request-bound reading, where a competing frame arriving at
    the critical instant contributes its full transmission time (repair R7 in
    DESIGN.md). *)
+let mx_capped t =
+  match t.config.Config.variant with
+  | Config.Faithful -> true
+  | Config.Repaired -> false
+
 let mx t flow ~src ~dst ~dt =
-  let capped =
-    match t.config.Config.variant with
-    | Config.Faithful -> true
-    | Config.Repaired -> false
-  in
-  Gmf.Demand.bound (demand t flow ~src ~dst Time) ~capped dt
+  Gmf.Demand.bound
+    (Traffic.Link_params.time_demand (params t flow ~src ~dst))
+    ~capped:(mx_capped t) dt
 
 let nx t flow ~src ~dst ~dt =
-  Gmf.Demand.bound (demand t flow ~src ~dst Count) ~capped:false dt
+  Gmf.Demand.bound
+    (Traffic.Link_params.count_demand (params t flow ~src ~dst))
+    ~capped:false dt
 
 let extra t flow ~stage =
   Jitter_state.extra t.jitters ~flow:flow.Traffic.Flow.id

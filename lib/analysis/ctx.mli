@@ -1,5 +1,7 @@
-(** Shared state of one analysis run: the scenario, the configuration, the
-    holistic jitter state and memoized demand tables. *)
+(** Shared state of one analysis run: the scenario, the configuration and
+    the holistic jitter state.  Demand tables are not held here: each is
+    owned by its {!Traffic.Link_params} value, which {!params} reads from
+    the scenario's cache. *)
 
 type t
 
@@ -37,6 +39,10 @@ val mx :
     per-window demand is clamped to [dt] as eq (10) writes it; under
     [Config.Repaired] the clamp is dropped (request-bound reading, repair
     R7) so zero-jitter interference is not lost. *)
+
+val mx_capped : t -> bool
+(** Whether {!mx} clamps windows to the interval: [true] under
+    [Config.Faithful], [false] under [Config.Repaired]. *)
 
 val nx :
   t -> Traffic.Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->

@@ -20,18 +20,23 @@ let analyze ctx ~flow ~node ~frame =
   let mft = Traffic.Link_params.mft own in
   let prop = own.Traffic.Link_params.link.Network.Link.prop in
   let hep = Traffic.Scenario.hep scenario flow ~node:n in
-  let hep_and_self = flow :: hep in
-  let extra j = Ctx.extra ctx j ~stage in
+  (* The analyzed flow first, then hep: dropping row 0 leaves hep. *)
+  let rows demand =
+    Stage_common.interferers ctx ~stage ~src:n ~dst:d ~demand (flow :: hep)
+  in
+  let hep_and_self =
+    (rows Traffic.Link_params.time_demand, rows Traffic.Link_params.count_demand)
+  in
+  let hep =
+    let drop_self a = Array.sub a 1 (Array.length a - 1) in
+    (drop_self (fst hep_and_self), drop_self (snd hep_and_self))
+  in
+  let capped = Ctx.mx_capped ctx in
   (* Combined link-time + task-rotation interference of a flow set over an
      interval: the MX and NX * CIRC terms of eqs (29)/(31). *)
-  let interference flows dt =
-    List.fold_left
-      (fun acc j ->
-        let dt_j = dt + extra j in
-        acc
-        + Ctx.mx ctx j ~src:n ~dst:d ~dt:dt_j
-        + (Ctx.nx ctx j ~src:n ~dst:d ~dt:dt_j * circ))
-      0 flows
+  let interference (time, count) dt =
+    Stage_common.demand_sum time ~capped dt
+    + (Stage_common.demand_sum count ~capped:false dt * circ)
   in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
   let pre_c l = Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l in
@@ -50,8 +55,9 @@ let analyze ctx ~flow ~node ~frame =
   Stage_common.run ~ctx ~stage ~flow ~frame ~busy_seed:mft
     ~busy_step:(fun t -> mft + interference hep_and_self t)
     ~w_base:(fun ~q ~l -> mft + own_work q l + own_rotations q l)
-    ~w_step:(fun ~q ~l w ->
-      mft + own_work q l + own_rotations q l + interference hep w)
+    ~w_step:(fun ~q ~l ->
+      let base = mft + own_work q l + own_rotations q l in
+      fun w -> base + interference hep w)
     ~finish:(fun ~q ~l ~w -> w - ((q * tsum_i) + pre_t l) + c_k + prop)
 
 let utilization_condition ctx ~flow ~node =

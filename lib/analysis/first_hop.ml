@@ -22,12 +22,13 @@ let analyze ctx ~flow ~frame =
   let others = List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all in
   (* Every interfering flow's jitter on this link; the first link of flow i
      is the first link of every flow sharing it (endhosts do not relay). *)
-  let extra j = Ctx.extra ctx j ~stage in
-  let interference flows dt =
-    List.fold_left
-      (fun acc j -> acc + Ctx.mx ctx j ~src:s ~dst:d ~dt:(dt + extra j))
-      0 flows
+  let rows flows =
+    Stage_common.interferers ctx ~stage ~src:s ~dst:d
+      ~demand:Traffic.Link_params.time_demand flows
   in
+  let all = rows all and others = rows others in
+  let capped = Ctx.mx_capped ctx in
+  let interference rows dt = Stage_common.demand_sum rows ~capped dt in
   (* Own demand (in link time) of the l predecessors of frame k, and the
      minimum time by which they precede it (repair R8). *)
   let pre_c l = Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l in
@@ -35,7 +36,9 @@ let analyze ctx ~flow ~frame =
   Stage_common.run ~ctx ~stage ~flow ~frame ~busy_seed:c_k
     ~busy_step:(fun t -> interference all t)
     ~w_base:(fun ~q ~l -> (q * csum_i) + pre_c l)
-    ~w_step:(fun ~q ~l w -> (q * csum_i) + pre_c l + interference others w)
+    ~w_step:(fun ~q ~l ->
+      let base = (q * csum_i) + pre_c l in
+      fun w -> base + interference others w)
     ~finish:(fun ~q ~l ~w -> w - ((q * tsum_i) + pre_t l) + c_k + prop)
 
 let utilization_condition ctx ~flow =

@@ -19,12 +19,12 @@ let analyze ctx ~flow ~node ~frame =
   let others =
     List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all
   in
-  let extra j = Ctx.extra ctx j ~stage in
-  let interference flows dt =
-    List.fold_left
-      (fun acc j -> acc + Ctx.nx ctx j ~src:p ~dst:n ~dt:(dt + extra j))
-      0 flows
+  let rows flows =
+    Stage_common.interferers ctx ~stage ~src:p ~dst:n
+      ~demand:Traffic.Link_params.count_demand flows
   in
+  let all = rows all and others = rows others in
+  let interference rows dt = Stage_common.demand_sum rows ~capped:false dt in
   let variant = (Ctx.config ctx).Config.variant in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
   let pre_m l =
@@ -49,7 +49,9 @@ let analyze ctx ~flow ~node ~frame =
   Stage_common.run ~ctx ~stage ~flow ~frame ~busy_seed
     ~busy_step:(fun t -> interference all t * circ)
     ~w_base:(fun ~q ~l -> own_charge q l)
-    ~w_step:(fun ~q ~l w -> own_charge q l + (interference others w * circ))
+    ~w_step:(fun ~q ~l ->
+      let base = own_charge q l in
+      fun w -> base + (interference others w * circ))
     ~finish:(fun ~q ~l ~w -> w - ((q * tsum_i) + pre_t l) + circ)
 
 let utilization_condition ctx ~flow ~node =

@@ -40,8 +40,8 @@ let sub_scenario scenario flow_ids =
       used []
     |> List.sort compare
   in
-  Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
-    ~flows ()
+  Traffic.Scenario.make ~share:scenario ~switches
+    ~topo:(Traffic.Scenario.topo scenario) ~flows ()
 
 let stage_of_inequality = function
   | Gmf_precheck.Precheck.Demand_floor { stage; _ }

@@ -38,7 +38,9 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
     flows, keeping the full topology and only the switch models the member
     routes traverse.  When [flow_ids] is a union of complete interference
     components, analyzing the restriction is byte-equal to restricting the
-    analysis (the sharding property above).  Exposed for {!Delta}, which
+    analysis (the sharding property above).  The restriction shares the
+    scenario's already derived link params and demand tables
+    ([Traffic.Scenario.make ~share]).  Exposed for {!Delta}, which
     fixpoints exactly the interference closure of an edit. *)
 
 val analyze :

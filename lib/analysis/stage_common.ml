@@ -22,6 +22,29 @@ let window_before arr ~k ~len =
   in
   go 0 0
 
+type interferer = { demand : Gmf.Demand.t; extra : Timeunit.ns }
+
+(* Resolved once per stage analysis.  Jitters are only written between
+   stage analyses (Pipeline sets a frame's jitter before analyzing the
+   stage), so every extra_j read here is the one the recurrences see. *)
+let interferers ctx ~stage ~src ~dst ~demand flows =
+  Array.of_list
+    (List.map
+       (fun j ->
+         {
+           demand = demand (Ctx.params ctx j ~src ~dst);
+           extra = Ctx.extra ctx j ~stage;
+         })
+       flows)
+
+let demand_sum rows ~capped dt =
+  let acc = ref 0 in
+  for i = 0 to Array.length rows - 1 do
+    let r = Array.unsafe_get rows i in
+    acc := !acc + Gmf.Demand.bound r.demand ~capped (dt + r.extra)
+  done;
+  !acc
+
 (* Per-stage-kind convergence histograms: the profile subcommand reports
    where fixpoint iterations are spent across the three stage analyses. *)
 let iters_first_link =

@@ -26,10 +26,35 @@ val run :
     + iterate [busy_step] from [busy_seed] to the busy-period length [t];
     + [Q = max 1 (ceil (t / TSUM_i))], capped by the configuration;
     + for every (q, l) pair, iterate [w_step ~q ~l] from [w_base ~q ~l]
-      to [w(q,l)];
+      to [w(q,l)] ([w_step ~q ~l] is applied once per pair, so work that
+      depends only on (q, l) belongs before its [fun w ->]);
     + the stage response is [max over (q,l) of finish ~q ~l ~w].
 
     Any divergence is reported as a [failure] naming the stage. *)
+
+type interferer = {
+  demand : Gmf.Demand.t;  (** MX or NX table of the flow on the link. *)
+  extra : Gmf_util.Timeunit.ns;  (** extra_j at the analyzed stage. *)
+}
+(** One interfering flow of a stage, resolved once per stage analysis. *)
+
+val interferers :
+  Ctx.t ->
+  stage:Stage.t ->
+  src:Network.Node.id ->
+  dst:Network.Node.id ->
+  demand:(Traffic.Link_params.t -> Gmf.Demand.t) ->
+  Traffic.Flow.t list ->
+  interferer array
+(** [interferers ctx ~stage ~src ~dst ~demand flows] reads each flow's
+    demand table on link [src -> dst] ([Traffic.Link_params.time_demand]
+    or [count_demand]) and its current extra at [stage].  Valid for one
+    stage analysis: jitters only change between stage analyses. *)
+
+val demand_sum : interferer array -> capped:bool -> Gmf_util.Timeunit.ns -> int
+(** [demand_sum rows ~capped dt] is the sum over [rows] of
+    [Gmf.Demand.bound demand ~capped (dt + extra)] — the MX or NX
+    interference term of a stage recurrence. *)
 
 val window_before : int array -> k:int -> len:int -> int
 (** [window_before arr ~k ~len] sums, cyclically, the [len] entries of

@@ -183,7 +183,8 @@ let analyze_case ~config ~max_routes scenario case =
          sheds without spending fixpoint rounds. *)
       let rec settle survivors shed rounds =
         let scenario' =
-          Traffic.Scenario.make ~switches ~topo ~flows:survivors ()
+          Traffic.Scenario.make ~share:scenario ~switches ~topo
+            ~flows:survivors ()
         in
         let lint_errors =
           Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario')
@@ -278,7 +279,8 @@ let analyze_case_delta ~config:_ ~max_routes dbase scenario case =
       in
       let rec settle survivors shed rounds =
         let scenario' =
-          Traffic.Scenario.make ~switches ~topo ~flows:survivors ()
+          Traffic.Scenario.make ~share:scenario ~switches ~topo
+            ~flows:survivors ()
         in
         let d =
           Analysis.Delta.analyze ~lint:true ~precheck:true dbase scenario'

@@ -13,13 +13,18 @@
     (arrival of first to arrival of last). *)
 
 type t
-(** Precomputed demand tables for one (flow, resource) pair. *)
+(** Precomputed demand tables for one (flow, resource) pair: cyclic prefix
+    sums for any single window, and the request-bound staircase behind
+    {!small} and {!bound} (the window spans at which the largest window
+    cost grows, ascending, each with that cost). *)
 
 val make : costs:int array -> periods:Gmf_util.Timeunit.ns array -> t
-(** [make ~costs ~periods] precomputes the window tables.  The arrays must
-    have equal positive length, the costs must be non-negative, the periods
-    non-negative with a positive sum.  Raises [Invalid_argument]
-    otherwise. *)
+(** [make ~costs ~periods] precomputes the window tables: O(n{^ 2}) time
+    when all periods are equal, O(n{^ 3}) at worst, and O(n{^ 2})
+    transient space; the staircase keeps at most one entry per distinct
+    window span.  The arrays must have equal positive length, the costs
+    must be non-negative, the periods non-negative with a positive sum.
+    Raises [Invalid_argument] otherwise. *)
 
 val n : t -> int
 (** Cycle length. *)
@@ -46,14 +51,15 @@ val small : t -> capped:bool -> Gmf_util.Timeunit.ns -> int
     1..n frames whose span is at most [dt].  When [capped], each candidate is
     clamped to [min dt cost] — a flow cannot occupy a link longer than the
     interval itself.  Defined here for any [dt >= 0] (the paper restricts to
-    0 < dt < TSUM, which is how {!bound} calls it); negative [dt] yields 0. *)
+    0 < dt < TSUM, which is how {!bound} calls it); negative [dt] yields 0.
+    O(log n): one binary search of the staircase. *)
 
 val bound : t -> capped:bool -> Gmf_util.Timeunit.ns -> int
 (** [bound t ~capped dt] is MX (eq 11, [capped = true]) or NX (eq 13,
     [capped = false]):
     [floor(dt/TSUM) * cost_total + small (dt mod TSUM)].
     Total demand bound for any interval of length [dt >= 0];
-    negative [dt] yields 0. *)
+    negative [dt] yields 0.  O(log n), like {!small}. *)
 
 val utilization : t -> float
 (** [cost_total / tsum] as a float — the left side of the convergence

@@ -4,13 +4,24 @@
     the analysis consumes: the transmission time C_i^k of every GMF frame,
     the Ethernet-frame count of every GMF frame, CSUM/NSUM over the cycle,
     and the {!Gmf.Demand} tables behind MX/MXS (link time) and NX/NXS
-    (frame counts). *)
+    (frame counts).
+
+    This record is the single owner of its two demand tables: each is built
+    on first request and kept, so every reader of the same params value
+    (the static tests of [Gmf_precheck], the fixpoint through
+    [Analysis.Ctx]) shares one table.  {!Scenario.params} caches the params
+    per (flow, link), which makes that one table per (flow, link, kind) and
+    scenario.  Each build counts in the [demand.builds] metric. *)
+
+type demands
+(** The owned demand tables, built at most once each. *)
 
 type t = private {
   flow : Flow.t;
   link : Network.Link.t;
   c : Gmf_util.Timeunit.ns array;  (** C_i^k, per GMF frame. *)
   eth_frames : int array;  (** Ethernet frames per GMF frame. *)
+  demands : demands;
 }
 
 val make : flow:Flow.t -> link:Network.Link.t -> t
@@ -31,11 +42,13 @@ val mft : t -> Gmf_util.Timeunit.ns
 
 val time_demand : t -> Gmf.Demand.t
 (** Demand tables with per-frame cost C_i^k — evaluate with
-    [Gmf.Demand.bound ~capped:true] to get MX (eq 11). *)
+    [Gmf.Demand.bound ~capped:true] to get MX (eq 11).  Built on the first
+    call, then returned as is. *)
 
 val count_demand : t -> Gmf.Demand.t
 (** Demand tables with per-frame cost = Ethernet-frame count — evaluate with
-    [Gmf.Demand.bound ~capped:false] to get NX (eq 13). *)
+    [Gmf.Demand.bound ~capped:false] to get NX (eq 13).  Built on the first
+    call, then returned as is. *)
 
 val utilization : t -> float
 (** CSUM / TSUM of this flow on this link (a term of eq 20). *)

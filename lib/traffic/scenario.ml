@@ -20,7 +20,7 @@ type t = {
   derived : (string, string) Hashtbl.t;
 }
 
-let make ?(switches = []) ~topo ~flows () =
+let make ?share ?(switches = []) ~topo ~flows () =
   let flows = Array.of_list flows in
   Array.sort (fun a b -> compare a.Flow.id b.Flow.id) flows;
   for i = 1 to Array.length flows - 1 do
@@ -73,11 +73,29 @@ let make ?(switches = []) ~topo ~flows () =
         (Network.Route.hops f.Flow.route))
     flows;
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) on_link;
+  (* Params (and the demand tables they own) already derived in [share]
+     for the very same flow value on the very same topology are taken
+     over, not rebuilt. *)
+  let params_cache = Hashtbl.create 64 in
+  (match share with
+  | Some base when base.topo == topo ->
+      Array.iter
+        (fun f ->
+          List.iter
+            (fun (src, dst) ->
+              let key = (f.Flow.id, src, dst) in
+              match Hashtbl.find_opt base.params_cache key with
+              | Some p when p.Link_params.flow == f ->
+                  Hashtbl.replace params_cache key p
+              | _ -> ())
+            (Network.Route.hops f.Flow.route))
+        flows
+  | _ -> ());
   {
     topo;
     flows;
     switches = table;
-    params_cache = Hashtbl.create 64;
+    params_cache;
     by_id;
     on_link;
     hep_cache = Hashtbl.create 64;

@@ -7,12 +7,19 @@
 type t
 
 val make :
+  ?share:t ->
   ?switches:(Network.Node.id * Click.Switch_model.t) list ->
   topo:Network.Topology.t ->
   flows:Flow.t list ->
   unit ->
   t
-(** [make ?switches ~topo ~flows ()] validates and builds a scenario.
+(** [make ?share ?switches ~topo ~flows ()] validates and builds a scenario.
+
+    A scenario derived from another one ([share]: a component, a degraded
+    or edited copy over the same topology value) takes over the {!params}
+    [share] has already derived for every flow it holds as the very same
+    value ([==]), so each {!Link_params} and the demand tables it owns
+    are built once across the family.
 
     Every switch node that appears as an intermediate of some route needs a
     {!Click.Switch_model}; nodes not listed in [switches] get a default

@@ -214,6 +214,80 @@ let prop_small_achieved_by_some_window =
       done;
       !found)
 
+(* The O(n^2) window scan [Demand.small] used before the staircase: every
+   window of 1..n frames from every start, clamped when [capped].  Kept
+   as the oracle the O(log n) lookup must match exactly. *)
+let scan_small d ~capped dt =
+  if dt < 0 then 0
+  else begin
+    let n = Gmf.Demand.n d in
+    let best = ref 0 in
+    for k1 = 0 to n - 1 do
+      for len = 1 to n do
+        if Gmf.Demand.window_span d ~k1 ~len <= dt then begin
+          let cost = Gmf.Demand.window_cost d ~k1 ~len in
+          let cost = if capped then min dt cost else cost in
+          if cost > !best then best := cost
+        end
+      done
+    done;
+    !best
+  end
+
+let scan_bound d ~capped dt =
+  if dt < 0 then 0
+  else begin
+    let tsum = Gmf.Demand.tsum d in
+    let cycles = dt / tsum in
+    (cycles * Gmf.Demand.cost_total d) + scan_small d ~capped (dt - (cycles * tsum))
+  end
+
+(* GMF cycles of up to 16 frames in three period shapes: arbitrary (zeros
+   likely), all equal (one period, like an MPEG GOP) and mostly zero
+   (bursts of simultaneous frames).  Costs may be zero too. *)
+let arb_gmf =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 16 in
+    let* costs = array_size (return n) (frequency [ (1, return 0); (5, int_range 1 5_000) ]) in
+    let* periods =
+      frequency
+        [
+          (3, array_size (return n) (frequency [ (1, return 0); (3, int_range 1 1_000) ]));
+          (2, map (fun p -> Array.make n p) (int_range 1 1_000));
+          (1, array_size (return n) (frequency [ (4, return 0); (1, int_range 1 50) ]));
+        ]
+    in
+    if Array.fold_left ( + ) 0 periods = 0 then periods.(n - 1) <- 1;
+    let tsum = Array.fold_left ( + ) 0 periods in
+    (* Half the intervals sit on a step edge: a window's span, +-1. *)
+    let edge =
+      let* k1 = int_range 0 (n - 1) and* len = int_range 1 n and* off = int_range (-1) 1 in
+      let span = ref 0 in
+      for j = 0 to len - 2 do
+        span := !span + periods.((k1 + j) mod n)
+      done;
+      return (!span + off)
+    in
+    let* dt = frequency [ (1, int_range (-1) (3 * tsum)); (1, edge) ] in
+    return (costs, periods, dt)
+  in
+  QCheck.make gen ~print:(fun (c, p, dt) ->
+      Printf.sprintf "costs=%s periods=%s dt=%d"
+        (QCheck.Print.(list int) (Array.to_list c))
+        (QCheck.Print.(list int) (Array.to_list p))
+        dt)
+
+let prop_staircase_matches_scan =
+  QCheck.Test.make ~name:"small/bound equal the O(n^2) window scan" ~count:2000
+    arb_gmf (fun (costs, periods, dt) ->
+      let d = Gmf.Demand.make ~costs ~periods in
+      List.for_all
+        (fun capped ->
+          Gmf.Demand.small d ~capped dt = scan_small d ~capped dt
+          && Gmf.Demand.bound d ~capped dt = scan_bound d ~capped dt)
+        [ true; false ])
+
 let tests =
   [
     Alcotest.test_case "totals" `Quick test_totals;
@@ -229,4 +303,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_capped_below_uncapped;
     QCheck_alcotest.to_alcotest prop_bound_covers_dense_releases;
     QCheck_alcotest.to_alcotest prop_small_achieved_by_some_window;
+    QCheck_alcotest.to_alcotest prop_staircase_matches_scan;
   ]
