@@ -652,9 +652,7 @@ let apply_fail t a b =
             (safe @ pool)
         in
         let scenario = scenario_of t flows in
-        let lint_errors =
-          Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config:t.config scenario)
-        in
+        let lint_errors = Gmf_lint.Lint.gate ~config:t.config scenario in
         match (lint_errors, Gmf_faults.Survive.shed_order pool) with
         | _ :: _, victim :: _ ->
             (* e.g. a reroute saturates a link (GMF201): shed without
@@ -667,15 +665,7 @@ let apply_fail t a b =
                  pool)
               (victim :: shed) rounds_acc
         | _ :: _, [] ->
-            let report =
-              {
-                Analysis.Holistic.verdict =
-                  Analysis.Holistic.Analysis_failed
-                    (List.map failure_of_diag lint_errors);
-                rounds = 0;
-                results = [];
-              }
-            in
+            let report = Analysis.Admission.rejection lint_errors in
             ( flows, pool, shed, report,
               Analysis.Jitter_state.create (), Skipped, None, None,
               rounds_acc )

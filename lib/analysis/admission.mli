@@ -66,6 +66,10 @@ val failure_of_diag : Gmf_diag.t -> Result_types.failure
     rejecting decision — shared with [Gmf_admctl] so session rejections
     render like batch rejections. *)
 
+val rejection : Gmf_diag.t list -> Holistic.report
+(** The report of a static rejection: an [Analysis_failed] verdict
+    carrying {!failure_of_diag} of each error, no rounds, no results. *)
+
 val admit_greedily :
   ?config:Config.t ->
   topo:Network.Topology.t ->

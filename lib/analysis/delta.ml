@@ -60,9 +60,7 @@ let make_base ?(lint_clean = true) ~config ~scenario ~state ~report () =
 let compute_base ?(config = Config.default) scenario =
   let ctx = Ctx.create ~config scenario in
   let report = Holistic.run ctx in
-  let lint_clean =
-    Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) = []
-  in
+  let lint_clean = Gmf_lint.Lint.gate ~config scenario = [] in
   {
     b_config = config;
     b_scenario = scenario;
@@ -85,7 +83,8 @@ let base_digest b = Case.digest ~config:b.b_config b.b_scenario
    identical: topology (nodes and links), config (shared by
    construction) and the models of every switch both scenarios know.  A
    switch only one side models serves only routes of added/removed/
-   changed flows — those are closure seeds anyway. *)
+   changed flows — those are closure seeds anyway — so a target switch
+   the base does not model (its lookup raises) is skipped. *)
 let same_structure b target =
   let bt = Traffic.Scenario.topo b.b_scenario
   and tt = Traffic.Scenario.topo target in
@@ -97,9 +96,7 @@ let same_structure b target =
          match Traffic.Scenario.switch_model b.b_scenario n with
          | bm -> bm = Traffic.Scenario.switch_model target n
          | exception Invalid_argument _ -> true)
-       (List.filter
-          (fun n -> List.mem n (Traffic.Scenario.switch_nodes b.b_scenario))
-          (Traffic.Scenario.switch_nodes target))
+       (Traffic.Scenario.switch_nodes target)
 
 (* Added/removed/changed (old, new) between the base and target flow
    sets, by id.  Physical equality short-circuits the canonical
@@ -191,17 +188,9 @@ let interference_closure ~seeds flows =
 (* ------------------------------------------------------------------ *)
 
 let lint_reject ~config scenario =
-  match Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) with
+  match Gmf_lint.Lint.gate ~config scenario with
   | [] -> None
-  | errors ->
-      Some
-        {
-          Holistic.verdict =
-            Holistic.Analysis_failed
-              (List.map Admission.failure_of_diag errors);
-          rounds = 0;
-          results = [];
-        }
+  | errors -> Some (Admission.rejection errors)
 
 let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin

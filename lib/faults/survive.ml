@@ -143,71 +143,62 @@ let switch_models scenario =
   Traffic.Scenario.switch_nodes scenario
   |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
 
-(* Pure per-case evaluation: no counter bumps here — under a [Pool]
-   executor this runs in a worker process whose registry increments are
-   lost, so [run] derives the counters from the collected results. *)
-let analyze_case ~config ~max_routes scenario case =
+let delta_zero =
+  { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0; d_warm = 0 }
+
+let delta_add a b =
+  {
+    d_closure = a.d_closure + b.d_closure;
+    d_skipped = a.d_skipped + b.d_skipped;
+    d_saved = a.d_saved + b.d_saved;
+    d_fallbacks = a.d_fallbacks + b.d_fallbacks;
+    d_warm = a.d_warm + b.d_warm;
+  }
+
+(* Phase 1 of a case: reroute every flow the failure touches onto its
+   shortest surviving route, or shed it when no alternate route survives
+   the failure.  One (flow, fate, placed version) per scenario flow. *)
+let place ~max_routes scenario case =
+  let topo = Traffic.Scenario.topo scenario in
+  let avoid_links, avoid_nodes = failed_parts topo case in
+  (* One route cache per case: flows sharing endpoints under the same
+     failure resolve to one enumeration. *)
+  let pcache = Network.Pathfind.Cache.create topo in
+  List.map
+    (fun (f : Traffic.Flow.t) ->
+      let route = f.Traffic.Flow.route in
+      if not (route_hit route ~avoid_links ~avoid_nodes) then
+        (f, Unaffected, Some f)
+      else
+        match
+          Network.Pathfind.Cache.k_shortest ~k:max_routes ~avoid_links
+            ~avoid_nodes pcache
+            ~src:(Network.Route.source route)
+            ~dst:(Network.Route.destination route)
+        with
+        | [] -> (f, Shed, None)
+        | alt :: _ ->
+            (f, Rerouted alt, Some (Analysis.Rerouting.with_route f alt)))
+    (Traffic.Scenario.flows scenario)
+
+(* One failure case: [place], then greedy shedding until [attempt] finds
+   the degraded set schedulable.  Pure — no counter bumps here: under a
+   [Pool] executor this runs in a worker process whose registry
+   increments are lost, so [run] derives the counters from the collected
+   results. *)
+let evaluate ~max_routes scenario case ~attempt =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
       let topo = Traffic.Scenario.topo scenario in
       let switches = switch_models scenario in
-      let avoid_links, avoid_nodes = failed_parts topo case in
-      let flows = Traffic.Scenario.flows scenario in
-      (* One route cache per case: flows sharing endpoints under the same
-         failure resolve to one enumeration. *)
-      let pcache = Network.Pathfind.Cache.create topo in
-      (* Phase 1: reroute every flow the failure touches, or shed it when
-         no alternate route survives the failure. *)
-      let placed =
-        List.map
-          (fun (f : Traffic.Flow.t) ->
-            let route = f.Traffic.Flow.route in
-            if not (route_hit route ~avoid_links ~avoid_nodes) then
-              (f, Unaffected, Some f)
-            else
-              let candidates =
-                Network.Pathfind.Cache.k_shortest ~k:max_routes ~avoid_links
-                  ~avoid_nodes pcache
-                  ~src:(Network.Route.source route)
-                  ~dst:(Network.Route.destination route)
-              in
-              match candidates with
-              | [] -> (f, Shed, None)
-              | alt :: _ ->
-                  let moved = Analysis.Rerouting.with_route f alt in
-                  (f, Rerouted alt, Some moved))
-          flows
-      in
-      (* Phase 2: greedy shedding until the degraded set is schedulable.
-         A lint error (e.g. a rerouted flow saturating a link, GMF201)
-         sheds without spending fixpoint rounds. *)
+      let placed = place ~max_routes scenario case in
       let rec settle survivors shed rounds =
-        let scenario' =
-          Traffic.Scenario.make ~share:scenario ~switches ~topo
-            ~flows:survivors ()
+        let report =
+          attempt
+            (Traffic.Scenario.make ~share:scenario ~switches ~topo
+               ~flows:survivors ())
         in
-        let lint_errors =
-          Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario')
-        in
-        let report, rounds =
-          if lint_errors <> [] then
-            ( {
-                Analysis.Holistic.verdict =
-                  Analysis.Holistic.Analysis_failed
-                    (List.map Analysis.Admission.failure_of_diag lint_errors);
-                rounds = 0;
-                results = [];
-              },
-              rounds )
-          else
-            (* Precheck-guided and per-component, through the shared case
-               memo: two failure cases that shed down to the same remainder
-               set — or merely share an untouched interference component —
-               reuse the earlier fixpoints, and statically decided flows
-               never enter one. *)
-            let r, _pre, _stats = Analysis.Sharded.analyze ~config scenario' in
-            (r, rounds + r.Analysis.Holistic.rounds)
-        in
+        let rounds = rounds + report.Analysis.Holistic.rounds in
         if Analysis.Holistic.is_schedulable report then (report, shed, rounds)
         else
           match shed_order survivors with
@@ -238,96 +229,49 @@ let analyze_case ~config ~max_routes scenario case =
         delta = None;
       })
 
-(* Delta twin of [analyze_case]: same reroute phase and greedy shed
-   loop, but every settle attempt re-analyzes only the interference
+(* Cold engine: every settle attempt is a full analysis of the degraded
+   set.  A lint error (e.g. a rerouted flow saturating a link, GMF201)
+   sheds without spending fixpoint rounds; otherwise the analysis is
+   precheck-guided and per-component, through the shared case memo: two
+   failure cases that shed down to the same remainder set — or merely
+   share an untouched interference component — reuse the earlier
+   fixpoints, and statically decided flows never enter one. *)
+let analyze_case ~config ~max_routes scenario case =
+  evaluate ~max_routes scenario case
+    ~attempt:(fun scenario' ->
+      match Gmf_lint.Lint.gate ~config scenario' with
+      | _ :: _ as errors -> Analysis.Admission.rejection errors
+      | [] ->
+          let r, _pre, _stats = Analysis.Sharded.analyze ~config scenario' in
+          r)
+
+(* Delta engine: every settle attempt re-analyzes only the interference
    closure of the case's edit against the shared fault-free base
    ({!Analysis.Delta.analyze}, lint gate included).  Per-attempt delta
    stats are summed into the case result — under a [Pool] executor the
    worker's registry increments are lost, so the embedded copy is the
    one the report (and its JSON) aggregates deterministically. *)
-let analyze_case_delta ~config:_ ~max_routes dbase scenario case =
-  Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
-    (fun () ->
-      let topo = Traffic.Scenario.topo scenario in
-      let switches = switch_models scenario in
-      let avoid_links, avoid_nodes = failed_parts topo case in
-      let flows = Traffic.Scenario.flows scenario in
-      let pcache = Network.Pathfind.Cache.create topo in
-      let placed =
-        List.map
-          (fun (f : Traffic.Flow.t) ->
-            let route = f.Traffic.Flow.route in
-            if not (route_hit route ~avoid_links ~avoid_nodes) then
-              (f, Unaffected, Some f)
-            else
-              let candidates =
-                Network.Pathfind.Cache.k_shortest ~k:max_routes ~avoid_links
-                  ~avoid_nodes pcache
-                  ~src:(Network.Route.source route)
-                  ~dst:(Network.Route.destination route)
-              in
-              match candidates with
-              | [] -> (f, Shed, None)
-              | alt :: _ ->
-                  let moved = Analysis.Rerouting.with_route f alt in
-                  (f, Rerouted alt, Some moved))
-          flows
-      in
-      let acc =
-        ref { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0;
-              d_warm = 0 }
-      in
-      let rec settle survivors shed rounds =
-        let scenario' =
-          Traffic.Scenario.make ~share:scenario ~switches ~topo
-            ~flows:survivors ()
-        in
+let analyze_case_delta ~max_routes dbase scenario case =
+  let acc = ref delta_zero in
+  let r =
+    evaluate ~max_routes scenario case
+      ~attempt:(fun scenario' ->
         let d =
           Analysis.Delta.analyze ~lint:true ~precheck:true dbase scenario'
         in
         let s = d.Analysis.Delta.d_stats in
         acc :=
-          {
-            d_closure = !acc.d_closure + s.Analysis.Delta.closure_flows;
-            d_skipped = !acc.d_skipped + s.Analysis.Delta.skipped_flows;
-            d_saved = !acc.d_saved + s.Analysis.Delta.rounds_saved;
-            d_fallbacks =
-              (!acc.d_fallbacks
-              + if s.Analysis.Delta.cold_fallback then 1 else 0);
-            d_warm =
-              (!acc.d_warm + if s.Analysis.Delta.warm_seeded then 1 else 0);
-          };
-        let report = d.Analysis.Delta.d_report in
-        let rounds = rounds + report.Analysis.Holistic.rounds in
-        if Analysis.Holistic.is_schedulable report then (report, shed, rounds)
-        else
-          match shed_order survivors with
-          | [] -> (report, shed, rounds)
-          | victim :: _ ->
-              settle
-                (List.filter
-                   (fun (f : Traffic.Flow.t) ->
-                     f.Traffic.Flow.id <> victim.Traffic.Flow.id)
-                   survivors)
-                (victim.Traffic.Flow.id :: shed)
-                rounds
-      in
-      let survivors = List.filter_map (fun (_, _, s) -> s) placed in
-      let report, shed_ids, rounds = settle survivors [] 0 in
-      let fates =
-        List.map
-          (fun ((f : Traffic.Flow.t), fate, _) ->
-            if List.mem f.Traffic.Flow.id shed_ids then (f, Shed)
-            else (f, fate))
-          placed
-      in
-      {
-        case;
-        fates;
-        verdict = report.Analysis.Holistic.verdict;
-        rounds;
-        delta = Some !acc;
-      })
+          delta_add !acc
+            {
+              d_closure = s.Analysis.Delta.closure_flows;
+              d_skipped = s.Analysis.Delta.skipped_flows;
+              d_saved = s.Analysis.Delta.rounds_saved;
+              d_fallbacks = (if s.Analysis.Delta.cold_fallback then 1 else 0);
+              d_warm = (if s.Analysis.Delta.warm_seeded then 1 else 0);
+            };
+        d.Analysis.Delta.d_report)
+  in
+  { r with delta = Some !acc }
 
 (* A case the exec layer failed to evaluate (timeout, worker crash) is
    reported conservatively: analysis-failed verdict, every flow shed. *)
@@ -370,18 +314,6 @@ let case_key ~engine ~base_digest ~max_routes case =
   Printf.sprintf "survive|%s|%s|%d|%s" engine base_digest max_routes
     (String.concat "+" (List.map comp case))
 
-let delta_zero =
-  { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0; d_warm = 0 }
-
-let delta_add a b =
-  {
-    d_closure = a.d_closure + b.d_closure;
-    d_skipped = a.d_skipped + b.d_skipped;
-    d_saved = a.d_saved + b.d_saved;
-    d_fallbacks = a.d_fallbacks + b.d_fallbacks;
-    d_warm = a.d_warm + b.d_warm;
-  }
-
 let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
     ?(delta = true) ?domain scenario =
   if k < 0 then invalid_arg "Survive.run: k < 0";
@@ -406,7 +338,7 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
   let base_digest = Analysis.Case.digest ~config scenario in
   let f =
     match dbase with
-    | Some b -> analyze_case_delta ~config ~max_routes b scenario
+    | Some b -> analyze_case_delta ~max_routes b scenario
     | None -> analyze_case ~config ~max_routes scenario
   in
   (* A memo hit may come from an earlier run on a byte-identical but
@@ -451,22 +383,36 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
           | Unaffected -> ())
         c.fates)
     cases;
-  let verdict_of (f : Traffic.Flow.t) =
-    let fate_in case_result =
-      List.assoc_opt f.Traffic.Flow.id
-        (List.map
-           (fun ((g : Traffic.Flow.t), fate) -> (g.Traffic.Flow.id, fate))
-           case_result.fates)
-    in
-    let fates = List.filter_map fate_in cases in
-    if List.exists (fun fate -> fate = Shed) fates then Must_shed
-    else if
-      List.exists (function Rerouted _ -> true | _ -> false) fates
-    then Survives_with_reroute
-    else Survives
+  (* Worst fate of every flow over all cases, in one pass: a shed in any
+     case dominates a reroute, a reroute dominates no fate at all. *)
+  let rank = function
+    | Survives -> 0
+    | Survives_with_reroute -> 1
+    | Must_shed -> 2
   in
+  let worst = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun ((g : Traffic.Flow.t), fate) ->
+          let v =
+            match fate with
+            | Shed -> Must_shed
+            | Rerouted _ -> Survives_with_reroute
+            | Unaffected -> Survives
+          in
+          match Hashtbl.find_opt worst g.Traffic.Flow.id with
+          | Some w when rank w >= rank v -> ()
+          | _ -> Hashtbl.replace worst g.Traffic.Flow.id v)
+        c.fates)
+    cases;
   let matrix =
-    List.map (fun f -> (f, verdict_of f)) (Traffic.Scenario.flows scenario)
+    List.map
+      (fun (f : Traffic.Flow.t) ->
+        ( f,
+          Option.value ~default:Survives
+            (Hashtbl.find_opt worst f.Traffic.Flow.id) ))
+      (Traffic.Scenario.flows scenario)
   in
   let shed_set =
     List.filter_map

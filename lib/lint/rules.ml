@@ -656,27 +656,56 @@ let by_code_then_message (a : Gmf_diag.t) (b : Gmf_diag.t) =
   | 0 -> compare a.Gmf_diag.message b.Gmf_diag.message
   | c -> c
 
+(* Every scenario rule with the codes it can emit.  The gate's rule set
+   is derived from this table and the catalog severities, so a rule that
+   gains an Error code joins the gate without a second list to edit. *)
+let checks =
+  [
+    ([ "GMF001" ], fun ~config:_ -> check_duplicate_names);
+    ([ "GMF002" ], fun ~config:_ -> check_redundant_remarks);
+    ([ "GMF003" ], fun ~config:_ -> check_isolated_nodes);
+    ([ "GMF004" ], fun ~config:_ -> check_unused_links);
+    ([ "GMF005" ], fun ~config:_ -> check_detour_routes);
+    ([ "GMF006" ], fun ~config:_ -> check_unused_switches);
+    ([ "GMF007" ], fun ~config:_ -> check_single_route);
+    ([ "GMF101" ], fun ~config:_ -> check_deadline_vs_period);
+    ([ "GMF102" ], fun ~config:_ -> check_jitter_vs_period);
+    ([ "GMF103" ], fun ~config -> check_fragmentation ~config);
+    ([ "GMF104" ], fun ~config:_ -> check_priority_ties);
+    ([ "GMF105" ], fun ~config:_ -> check_overprovisioned_switches);
+    ([ "GMF201"; "GMF204" ], fun ~config:_ -> check_link_utilization);
+    ([ "GMF203" ], fun ~config:_ -> check_ingress_utilization);
+    ([ "GMF202" ], fun ~config:_ -> check_impossible_deadlines);
+    ([ "GMF205"; "GMF206" ], fun ~config -> check_config ~config);
+  ]
+
+let is_error_code code =
+  match find code with
+  | Some r -> r.default_severity = Gmf_diag.Error
+  | None -> false
+
+let error_checks =
+  List.filter (fun (codes, _) -> List.exists is_error_code codes) checks
+
+let error_codes =
+  List.concat_map
+    (fun (codes, _) -> List.filter is_error_code codes)
+    error_checks
+  |> List.sort_uniq compare
+
+(* Stable, so sorting a severity filter of the rule outputs equals
+   filtering the sorted full list: the gate matches [errors (run)]
+   element for element. *)
+let run_checks ~config checks scenario =
+  List.stable_sort by_code_then_message
+    (List.concat_map (fun (_, check) -> check ~config scenario) checks)
+
 let scenario_rules ?(config = Analysis_config.default) scenario =
-  List.sort by_code_then_message
-    (List.concat
-       [
-         check_duplicate_names scenario;
-         check_redundant_remarks scenario;
-         check_isolated_nodes scenario;
-         check_unused_links scenario;
-         check_detour_routes scenario;
-         check_unused_switches scenario;
-         check_single_route scenario;
-         check_deadline_vs_period scenario;
-         check_jitter_vs_period scenario;
-         check_fragmentation ~config scenario;
-         check_priority_ties scenario;
-         check_overprovisioned_switches scenario;
-         check_link_utilization scenario;
-         check_ingress_utilization scenario;
-         check_impossible_deadlines scenario;
-         check_config ~config scenario;
-       ])
+  run_checks ~config checks scenario
+
+let error_rules ?(config = Analysis_config.default) scenario =
+  Gmf_diag.by_severity Gmf_diag.Error
+    (run_checks ~config error_checks scenario)
 
 let flow_gate scenario (f : Traffic.Flow.t) =
   let route = f.Traffic.Flow.route in

@@ -36,6 +36,16 @@ val scenario_rules :
     defaulting to {!Analysis_config.default}).  Pure: no fixpoint is
     executed, no metrics are recorded (that is {!Lint.run}'s job). *)
 
+val error_codes : string list
+(** The catalog's Error codes that {!scenario_rules} can emit, ascending:
+    the rules {!error_rules} runs.  Derived from the catalog severities. *)
+
+val error_rules :
+  ?config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list
+(** Exactly the Error diagnostics of {!scenario_rules}, in the same
+    order, computed by running only the rules that can emit an Error
+    (those whose codes include one of {!error_codes}).  Pure. *)
+
 val flow_gate : Traffic.Scenario.t -> Traffic.Flow.t -> Gmf_diag.t list
 (** The cheap per-flow pre-pass used by [Analysis.Pipeline]: only the
     utilization impossibility rules ([GMF201], [GMF203]) restricted to

@@ -49,6 +49,10 @@ val demand_floor :
   Gmf_util.Timeunit.ns * (Stage_key.t * Gmf_util.Timeunit.ns) list
 (** [demand_floor ~config scenario flow ~frame] is a lower bound on the
     frame's end-to-end holistic bound, with the per-stage contributions.
+    The per-stage interference terms do not depend on the frame: the
+    partial application [demand_floor ~config scenario flow] sums them
+    once per stage and returns the per-frame function, O(1) per stage
+    and frame.
 
     Sound by construction: jitters only grow from the bottom state (source
     jitters at first links), stage responses are monotone in the jitter

@@ -371,6 +371,149 @@ let test_admission_rejects_without_fixpoint () =
   Alcotest.(check bool) "clean scenario analyzed" true
     (certified_statically || Gmf_obs.Metrics.counter_value fixpoint_calls > 0)
 
+(* ---------------- the errors-only gate ---------------- *)
+
+let variants = [ Analysis.Config.default; Analysis.Config.faithful ]
+
+let gate_matches ~config scenario =
+  Gmf_lint.Lint.gate ~config scenario
+  = Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario)
+
+let test_gate_codes () =
+  Alcotest.(check (list string))
+    "gate codes = the catalog's Error codes scenario_rules emits"
+    [ "GMF001"; "GMF201"; "GMF202"; "GMF203"; "GMF206" ]
+    Gmf_lint.Rules.error_codes
+
+(* One seeded scenario per error the gate must keep, each under both
+   variants: the gate reports exactly the full run's errors, the seeded
+   code among them. *)
+let test_gate_seeded_errors () =
+  let cases =
+    [
+      ( "GMF001",
+        Fun.id,
+        "node a endhost\nnode b endhost\nlink a b rate=100M\n\
+         flow f from=a to=b\n" ^ frame1 ^ "end\nflow f from=a to=b\n"
+        ^ frame1 ^ "end" );
+      ( "GMF201",
+        Fun.id,
+        "node a endhost\nnode b endhost\nlink a b rate=1M\n\
+         flow f from=a to=b\n  frame period=1ms deadline=1ms \
+         payload=1000B\nend" );
+      ( "GMF202",
+        Fun.id,
+        "node a endhost\nnode b endhost\nlink a b rate=1M\n\
+         flow f from=a to=b\n  frame period=1s deadline=10us \
+         payload=1000B\nend" );
+      ( "GMF203",
+        Fun.id,
+        "node a endhost\nnode b endhost\nnode sw switch\n\
+         link a sw rate=100M\nlink sw b rate=100M\n\
+         switch sw cpus=1 croute=1ms\nflow f from=a to=b\n\
+         \  frame period=1ms deadline=100ms payload=100B\nend" );
+      ( "GMF206",
+        (fun c -> { c with Analysis.Config.max_holistic_rounds = 0 }),
+        clean );
+    ]
+  in
+  List.iter
+    (fun (code, tweak, text) ->
+      List.iter
+        (fun variant ->
+          let config = tweak variant and scenario = parse text in
+          let gate = Gmf_lint.Lint.gate ~config scenario in
+          Alcotest.(check bool) (code ^ " gated") true
+            (List.exists (fun d -> d.Gmf_diag.code = code) gate);
+          Alcotest.(check bool) (code ^ " gate = errors (run)") true
+            (gate_matches ~config scenario))
+        variants)
+    cases
+
+let test_gate_example_corpus () =
+  let dir = "../examples/scenarios" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".gmfnet")
+  |> List.iter (fun file ->
+         match
+           Scenario_io.Parse.scenario_of_file (Filename.concat dir file)
+         with
+         | Error e -> Alcotest.failf "%s: %a" file Scenario_io.Parse.pp_error e
+         | Ok scenario ->
+             List.iter
+               (fun config ->
+                 Alcotest.(check bool) (file ^ ": gate = errors (run)") true
+                   (gate_matches ~config scenario))
+               variants)
+
+(* Random clustered scenarios (Test_precheck's generator, whose hostile
+   profile already yields impossible deadlines) with errors seeded at
+   random: a duplicated flow name, a payload blown up until its links
+   overload, a switch slow enough to overload its ingress rotations, a
+   zeroed iteration cap, a horizon below the deadlines; either variant. *)
+let gate_case seed =
+  let rng = Gmf_util.Rng.create ~seed in
+  let base = Test_precheck.gen_scenario rng in
+  let coin () = Gmf_util.Rng.int rng 3 = 0 in
+  let topo = Traffic.Scenario.topo base in
+  let flows = Traffic.Scenario.flows base in
+  let flows =
+    match flows with
+    | (a : Traffic.Flow.t) :: (b : Traffic.Flow.t) :: rest when coin () ->
+        a
+        :: Traffic.Flow.make ~id:b.Traffic.Flow.id ~name:a.Traffic.Flow.name
+             ~spec:b.Traffic.Flow.spec ~encap:b.Traffic.Flow.encap
+             ~route:b.Traffic.Flow.route ~priority:b.Traffic.Flow.priority
+        :: rest
+    | l -> l
+  in
+  let flows =
+    match flows with
+    | f :: rest when coin () -> Traffic.Flow.scale_payloads f 40. :: rest
+    | l -> l
+  in
+  let switches =
+    match Traffic.Scenario.switch_nodes base with
+    | sw :: _ when coin () ->
+        [
+          ( sw,
+            Click.Switch_model.make ~croute:(Gmf_util.Timeunit.ms 1)
+              ~ninterfaces:(Network.Topology.degree topo sw)
+              () );
+        ]
+    | _ -> []
+  in
+  let config =
+    {
+      Analysis.Config.default with
+      Analysis.Config.variant =
+        (if Gmf_util.Rng.int rng 2 = 0 then Analysis.Config.Repaired
+         else Analysis.Config.Faithful);
+    }
+  in
+  let config =
+    match Gmf_util.Rng.int rng 6 with
+    | 0 -> { config with Analysis.Config.max_busy_iters = 0 }
+    | 1 -> { config with Analysis.Config.max_q = 0 }
+    | 2 -> { config with Analysis.Config.horizon = Gmf_util.Timeunit.ms 1 }
+    | _ -> config
+  in
+  (config, Traffic.Scenario.make ~switches ~topo ~flows ())
+
+let prop_gate_equals_errors =
+  QCheck.Test.make ~name:"Lint.gate = errors (Lint.run) on random scenarios"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let config, scenario = gate_case seed in
+      let gate = Gmf_lint.Lint.gate ~config scenario
+      and full = Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) in
+      if gate <> full then
+        QCheck.Test.fail_reportf "gate {%s} <> errors (run) {%s}"
+          (String.concat ", " (List.map Gmf_diag.to_string gate))
+          (String.concat ", " (List.map Gmf_diag.to_string full));
+      true)
+
 let tests =
   [
     Alcotest.test_case "clean scenario is diagnostic-free" `Quick
@@ -415,4 +558,11 @@ let tests =
       test_json_of_real_run;
     Alcotest.test_case "admission rejects without fixpoint" `Quick
       test_admission_rejects_without_fixpoint;
+    Alcotest.test_case "gate runs the catalog's Error rules" `Quick
+      test_gate_codes;
+    Alcotest.test_case "gate keeps every seeded error" `Quick
+      test_gate_seeded_errors;
+    Alcotest.test_case "gate = errors (run) on the example corpus" `Quick
+      test_gate_example_corpus;
+    QCheck_alcotest.to_alcotest prop_gate_equals_errors;
   ]
