@@ -1059,14 +1059,14 @@ let profile_cmd =
                 pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.singletons);
            kv "holistic rounds"
              (string_of_int report.Analysis.Holistic.rounds);
-           kv "fixpoint calls"
-             (string_of_int
-                (Gmf_obs.Metrics.counter_value
-                   (Gmf_obs.Metrics.counter reg "fixpoint.calls")));
-           kv "fixpoint iterations"
-             (string_of_int
-                (Gmf_obs.Metrics.counter_value
-                   (Gmf_obs.Metrics.counter reg "fixpoint.iters.total")));
+           let count name =
+             string_of_int
+               (Gmf_obs.Metrics.counter_value (Gmf_obs.Metrics.counter reg name))
+           in
+           kv "fixpoint calls" (count "fixpoint.calls");
+           kv "fixpoint iterations" (count "fixpoint.iters.total");
+           kv "stage evaluations" (count "stage.evaluations");
+           kv "stage memo hits" (count "stage.memo_hits");
            (* Run the lint pass under the enabled registry so the
               per-rule lint.hits.* counters appear in the tables. *)
            let lint = Gmf_lint.Lint.run ~config scenario in
@@ -1083,13 +1083,9 @@ let profile_cmd =
            | [] -> ()
            | last :: _ ->
                let dbase = Analysis.Delta.compute_base ~config scenario in
-               let switches =
-                 List.map
-                   (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-                   (Traffic.Scenario.switch_nodes scenario)
-               in
                let edited =
-                 Traffic.Scenario.make ~switches
+                 Traffic.Scenario.make
+                   ~switches:(Traffic.Scenario.switch_models scenario)
                    ~topo:(Traffic.Scenario.topo scenario)
                    ~flows:
                      (List.filter
@@ -1235,11 +1231,7 @@ let assign_cmd =
            with_obs ?metrics ?trace_out @@ fun () ->
            let kv = Experiments.Exp_common.kv in
            let topo = Traffic.Scenario.topo scenario in
-           let switches =
-             List.map
-               (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-               (Traffic.Scenario.switch_nodes scenario)
-           in
+           let switches = Traffic.Scenario.switch_models scenario in
            let flows = Traffic.Scenario.flows scenario in
            let assigned =
              match policy with

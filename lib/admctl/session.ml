@@ -50,6 +50,8 @@ type t = {
   survivable : int option;
   exec : Gmf_exec.t option;
   mutable flows : Traffic.Flow.t list; (* id-ascending *)
+  mutable committed : Traffic.Scenario.t option;
+      (* the scenario of [flows], once an event committed one *)
   mutable failed : (Network.Node.id * Network.Node.id) list;
       (* undirected failed link pairs, smaller id first, newest first *)
   mutable state : Analysis.Jitter_state.t;
@@ -127,6 +129,7 @@ let create ?(config = Analysis.Config.default) ?(warm = true)
     survivable;
     exec;
     flows = [];
+    committed = None;
     failed = [];
     state = Analysis.Jitter_state.create ();
     converged = true;
@@ -202,13 +205,14 @@ let fingerprint t =
     t.s_warm t.s_cold t.s_rounds t.s_saved;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Tentative scenarios take over the link parameters (and demand tables)
+   the committed scenario already derived for the flows they keep. *)
 let scenario_of t flows =
-  Traffic.Scenario.make ~switches:t.switches ~topo:t.topo ~flows ()
+  Traffic.Scenario.make ?share:t.committed ~switches:t.switches ~topo:t.topo
+    ~flows ()
 
-let insert_sorted flows flow =
-  List.sort
-    (fun a b -> compare a.Traffic.Flow.id b.Traffic.Flow.id)
-    (flow :: flows)
+let committed_scenario t =
+  match t.committed with Some s -> s | None -> scenario_of t t.flows
 
 let find_flow t id = List.find_opt (fun f -> f.Traffic.Flow.id = id) t.flows
 
@@ -400,7 +404,7 @@ let run_fixpoint_delta t scenario =
   else begin
     let base =
       Analysis.Delta.make_base ~lint_clean:true ~config:t.config
-        ~scenario:(scenario_of t t.flows) ~state:t.state ~report:t.report ()
+        ~scenario:(committed_scenario t) ~state:t.state ~report:t.report ()
     in
     let d = Analysis.Delta.analyze base scenario in
     let report = d.Analysis.Delta.d_report in
@@ -438,8 +442,9 @@ let run_fixpoint_delta t scenario =
     (report, d.Analysis.Delta.d_state, start, shadow, explain)
   end
 
-let commit t ~flows ~state ~report =
-  t.flows <- flows;
+let commit t ~scenario ~state ~report =
+  t.flows <- Traffic.Scenario.flows scenario;
+  t.committed <- Some scenario;
   t.state <- state;
   t.converged <- converged_verdict report.Analysis.Holistic.verdict;
   t.report <- report
@@ -507,7 +512,7 @@ let try_set ?gate t ~label ~flows ~run =
                 ~rounds:report.Analysis.Holistic.rounds ~start
                 ~diagnostics:(diagnostics @ gate_diags) ~shadow ~explain ()
           | [] ->
-              if accepted then commit t ~flows ~state ~report;
+              if accepted then commit t ~scenario ~state ~report;
               mk_outcome t ~label ~accepted
                 ~verdict:report.Analysis.Holistic.verdict
                 ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics
@@ -521,7 +526,7 @@ let apply_admit t flow =
       reject_diag t ~label (failed_route_diag t flow)
   | None ->
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(insert_sorted t.flows flow)
+        ~flows:(flow :: t.flows)
         ~run:(fun scenario ->
           run_fixpoint t scenario ~init:(Some t.state))
 
@@ -541,7 +546,7 @@ let apply_remove t id =
         run_fixpoint_delta t scenario
       in
       (* The departure happens regardless of the refreshed verdict. *)
-      commit t ~flows:remaining ~state ~report;
+      commit t ~scenario ~state ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict
         ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics:[]
@@ -564,7 +569,7 @@ let apply_update t flow =
          edit under interference and restarts only the closure from
          source jitters (a parameter change is never a pure growth). *)
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(insert_sorted rest flow) ~run:(run_fixpoint_delta t)
+        ~flows:(flow :: rest) ~run:(run_fixpoint_delta t)
 
 let link_subject a b = Gmf_diag.Link { src = a; dst = b }
 
@@ -646,12 +651,7 @@ let apply_fail t a b =
          only their interference closure re-runs while flows the outage
          never touched keep their committed bounds. *)
       let rec settle pool shed rounds_acc =
-        let flows = List.sort
-            (fun (x : Traffic.Flow.t) (y : Traffic.Flow.t) ->
-              compare x.Traffic.Flow.id y.Traffic.Flow.id)
-            (safe @ pool)
-        in
-        let scenario = scenario_of t flows in
+        let scenario = scenario_of t (safe @ pool) in
         let lint_errors = Gmf_lint.Lint.gate ~config:t.config scenario in
         match (lint_errors, Gmf_faults.Survive.shed_order pool) with
         | _ :: _, victim :: _ ->
@@ -666,7 +666,7 @@ let apply_fail t a b =
               (victim :: shed) rounds_acc
         | _ :: _, [] ->
             let report = Analysis.Admission.rejection lint_errors in
-            ( flows, pool, shed, report,
+            ( scenario, pool, shed, report,
               Analysis.Jitter_state.create (), Skipped, None, None,
               rounds_acc )
         | [], _ -> (
@@ -677,12 +677,12 @@ let apply_fail t a b =
               rounds_acc + report.Analysis.Holistic.rounds
             in
             if Analysis.Holistic.is_schedulable report then
-              ( flows, pool, shed, report, state, start, shadow, explain,
-                rounds_acc )
+              ( scenario, pool, shed, report, state, start, shadow,
+                explain, rounds_acc )
             else
               match Gmf_faults.Survive.shed_order pool with
               | [] ->
-                  ( flows, pool, shed, report, state, start, shadow,
+                  ( scenario, pool, shed, report, state, start, shadow,
                     explain, rounds_acc )
               | victim :: _ ->
                   Gmf_obs.Metrics.incr m_shed;
@@ -694,11 +694,11 @@ let apply_fail t a b =
                     (victim :: shed) rounds_acc)
       in
       let pool0 = List.filter_map snd placed in
-      let flows, survivors, shed, report, state, start, shadow, explain,
+      let scenario, survivors, shed, report, state, start, shadow, explain,
           rounds =
         settle pool0 [] 0
       in
-      commit t ~flows ~state ~report;
+      commit t ~scenario ~state ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict ~rounds ~start
         ~diagnostics:[] ~shadow ~explain

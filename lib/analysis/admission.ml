@@ -83,8 +83,13 @@ let binding_failure (d : decision) =
                  if slack_of f < slack_of best then f else best)
                f0 rest))
 
+(* The extended set keeps the scenario's switch models (a rebuild without
+   them would analyse every switch under the default Click model) and
+   takes over its link parameters. *)
 let rebuild scenario extra_flows =
-  Traffic.Scenario.make ~topo:(Traffic.Scenario.topo scenario)
+  Traffic.Scenario.make ~share:scenario
+    ~switches:(Traffic.Scenario.switch_models scenario)
+    ~topo:(Traffic.Scenario.topo scenario)
     ~flows:(Traffic.Scenario.flows scenario @ extra_flows)
     ()
 
@@ -120,12 +125,13 @@ let admit ?exec ?config ?gate scenario ~candidate =
   match find_duplicate scenario candidate with
   | Some existing -> reject_with [ duplicate_id_diag ~candidate ~existing ]
   | None -> (
-      let decision = admit_exn ?exec ?config scenario ~candidate in
+      let extended = rebuild scenario [ candidate ] in
+      let decision = check ?exec ?config extended in
       match gate with
       | None -> decision
       | Some _ when not decision.admitted -> decision
       | Some gate -> (
-          match gate (rebuild scenario [ candidate ]) with
+          match gate extended with
           | [] -> decision
           | diags -> reject_with (decision.diagnostics @ diags)))
 

@@ -1,7 +1,19 @@
+type stage_result = (Result_types.stage_response, Result_types.failure) result
+
+type memo_entry = {
+  extras : Gmf_util.Timeunit.ns array;
+  mutable result : stage_result option;
+}
+
 type t = {
   scenario : Traffic.Scenario.t;
   config : Config.t;
   mutable jitters : Jitter_state.t;
+  (* Both tables hold pure functions of the fixed scenario and config
+     (plus, for the memo, the extras stored in the entry), so neither is
+     touched by [reset_jitters] or [restore]. *)
+  memo : (Traffic.Flow.id * int * Stage.t, memo_entry) Hashtbl.t;
+  gates : (Traffic.Flow.id, Gmf_diag.t option) Hashtbl.t;
 }
 
 let install_source_jitters scenario state =
@@ -23,7 +35,13 @@ let install_source_jitters scenario state =
 let create ?(config = Config.default) scenario =
   let jitters = Jitter_state.create () in
   install_source_jitters scenario jitters;
-  { scenario; config; jitters }
+  {
+    scenario;
+    config;
+    jitters;
+    memo = Hashtbl.create 256;
+    gates = Hashtbl.create 16;
+  }
 
 let scenario t = t.scenario
 let config t = t.config
@@ -74,3 +92,25 @@ let set_jitter t flow ~frame ~stage value =
 
 let get_jitter t flow ~frame ~stage =
   Jitter_state.get t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame
+
+let memo_entry t ~flow ~frame ~stage ~rows =
+  let key = (flow, frame, stage) in
+  match Hashtbl.find_opt t.memo key with
+  | Some e when Array.length e.extras = rows -> e
+  | _ ->
+      let e = { extras = Array.make rows 0; result = None } in
+      Hashtbl.replace t.memo key e;
+      e
+
+let flow_gate t flow =
+  let id = flow.Traffic.Flow.id in
+  match Hashtbl.find_opt t.gates id with
+  | Some g -> g
+  | None ->
+      let g =
+        match Gmf_lint.Rules.flow_gate t.scenario flow with
+        | [] -> None
+        | d :: _ -> Some d
+      in
+      Hashtbl.replace t.gates id g;
+      g

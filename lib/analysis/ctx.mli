@@ -1,5 +1,7 @@
-(** Shared state of one analysis run: the scenario, the configuration and
-    the holistic jitter state.  Demand tables are not held here: each is
+(** Shared state of one analysis run: the scenario, the configuration,
+    the holistic jitter state, and two caches of values that only depend
+    on the fixed scenario and configuration — the stage-result memo and
+    the per-flow lint gate.  Demand tables are not held here: each is
     owned by its {!Traffic.Link_params} value, which {!params} reads from
     the scenario's cache. *)
 
@@ -62,3 +64,39 @@ val get_jitter :
 val params :
   t -> Traffic.Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
   Traffic.Link_params.t
+
+(** {1 Stage-result memo}
+
+    With the context's scenario and configuration fixed, the result of one
+    stage analysis of (flow, frame, stage) is a pure function of the
+    extra_j of the stage's interferer rows (the analyzed flow's own row
+    included): those are the only jitter-state reads the recurrences make.
+    The memo keeps, per (flow id, frame, stage), the extras of the last
+    analysis and its result; an analysis whose freshly resolved extras
+    equal the stored ones returns the stored result instead of re-running
+    its recurrences (see {!Stage_common.memoized}).
+
+    The context is the memo's only owner.  Keyed by input values, not by
+    round or run, it stays valid across {!reset_jitters} and {!restore}:
+    an entry whose extras no longer match is simply recomputed. *)
+
+type stage_result = (Result_types.stage_response, Result_types.failure) result
+
+type memo_entry = {
+  extras : Gmf_util.Timeunit.ns array;
+      (** The extras, in interferer-row order, [result] was computed from. *)
+  mutable result : stage_result option;
+      (** [None] until the first analysis completes. *)
+}
+
+val memo_entry :
+  t -> flow:Traffic.Flow.id -> frame:int -> stage:Stage.t -> rows:int ->
+  memo_entry
+(** The memo entry of one stage analysis over [rows] interferer rows,
+    created empty (no result) on first request.  The caller compares and
+    overwrites [extras] in place. *)
+
+val flow_gate : t -> Traffic.Flow.t -> Gmf_diag.t option
+(** The first diagnostic of [Gmf_lint.Rules.flow_gate] for the flow, or
+    [None] when the gate passes — evaluated once per flow and context (a
+    function of the scenario alone). *)

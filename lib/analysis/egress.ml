@@ -10,6 +10,15 @@ let analyze ctx ~flow ~node ~frame =
   let n, d = outgoing_link flow node in
   let stage = Stage.Egress (n, d) in
   let scenario = Ctx.scenario ctx in
+  (* The analyzed flow first, then hep: dropping row 0 leaves hep. *)
+  let self_and_hep = flow :: Traffic.Scenario.hep scenario flow ~node:n in
+  Stage_common.memoized ctx ~stage ~flow ~frame self_and_hep @@ fun () ->
+  let rows demand =
+    Stage_common.interferers ctx ~stage ~src:n ~dst:d ~demand self_and_hep
+  in
+  let hep_and_self =
+    (rows Traffic.Link_params.time_demand, rows Traffic.Link_params.count_demand)
+  in
   let circ = Traffic.Scenario.circ scenario n in
   let own = Ctx.params ctx flow ~src:n ~dst:d in
   let c_k = own.Traffic.Link_params.c.(frame) in
@@ -19,14 +28,6 @@ let analyze ctx ~flow ~node ~frame =
   let tsum_i = Traffic.Flow.tsum flow in
   let mft = Traffic.Link_params.mft own in
   let prop = own.Traffic.Link_params.link.Network.Link.prop in
-  let hep = Traffic.Scenario.hep scenario flow ~node:n in
-  (* The analyzed flow first, then hep: dropping row 0 leaves hep. *)
-  let rows demand =
-    Stage_common.interferers ctx ~stage ~src:n ~dst:d ~demand (flow :: hep)
-  in
-  let hep_and_self =
-    (rows Traffic.Link_params.time_demand, rows Traffic.Link_params.count_demand)
-  in
   let hep =
     let drop_self a = Array.sub a 1 (Array.length a - 1) in
     (drop_self (fst hep_and_self), drop_self (snd hep_and_self))

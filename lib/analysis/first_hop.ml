@@ -11,22 +11,24 @@ let analyze ctx ~flow ~frame =
   check_frame flow frame;
   let s, d = link_of flow in
   let stage = Stage.First_link (s, d) in
-  let scenario = Ctx.scenario ctx in
-  let own = Ctx.params ctx flow ~src:s ~dst:d in
-  let c_k = own.Traffic.Link_params.c.(frame) in
-  let csum_i = Traffic.Link_params.csum own in
-  let tsum_i = Traffic.Flow.tsum flow in
-  let prop = own.Traffic.Link_params.link.Network.Link.prop in
-  let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
-  let all = Traffic.Scenario.flows_on scenario ~src:s ~dst:d in
-  let others = List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all in
+  let flows = Traffic.Scenario.flows_on (Ctx.scenario ctx) ~src:s ~dst:d in
   (* Every interfering flow's jitter on this link; the first link of flow i
      is the first link of every flow sharing it (endhosts do not relay). *)
   let rows flows =
     Stage_common.interferers ctx ~stage ~src:s ~dst:d
       ~demand:Traffic.Link_params.time_demand flows
   in
-  let all = rows all and others = rows others in
+  Stage_common.memoized ctx ~stage ~flow ~frame flows @@ fun () ->
+  let all = rows flows
+  and others =
+    rows (List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) flows)
+  in
+  let own = Ctx.params ctx flow ~src:s ~dst:d in
+  let c_k = own.Traffic.Link_params.c.(frame) in
+  let csum_i = Traffic.Link_params.csum own in
+  let tsum_i = Traffic.Flow.tsum flow in
+  let prop = own.Traffic.Link_params.link.Network.Link.prop in
+  let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
   let capped = Ctx.mx_capped ctx in
   let interference rows dt = Stage_common.demand_sum rows ~capped dt in
   (* Own demand (in link time) of the l predecessors of frame k, and the

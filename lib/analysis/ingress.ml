@@ -10,20 +10,21 @@ let analyze ctx ~flow ~node ~frame =
   let p, n = incoming_link flow node in
   let stage = Stage.Ingress n in
   let scenario = Ctx.scenario ctx in
+  let flows = Traffic.Scenario.flows_on scenario ~src:p ~dst:n in
+  let rows flows =
+    Stage_common.interferers ctx ~stage ~src:p ~dst:n
+      ~demand:Traffic.Link_params.count_demand flows
+  in
+  Stage_common.memoized ctx ~stage ~flow ~frame flows @@ fun () ->
+  let all = rows flows
+  and others =
+    rows (List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) flows)
+  in
   let circ = Traffic.Scenario.circ scenario n in
   let own = Ctx.params ctx flow ~src:p ~dst:n in
   let m_k = own.Traffic.Link_params.eth_frames.(frame) in
   let nsum_i = Traffic.Link_params.nsum own in
   let tsum_i = Traffic.Flow.tsum flow in
-  let all = Traffic.Scenario.flows_on scenario ~src:p ~dst:n in
-  let others =
-    List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all
-  in
-  let rows flows =
-    Stage_common.interferers ctx ~stage ~src:p ~dst:n
-      ~demand:Traffic.Link_params.count_demand flows
-  in
-  let all = rows all and others = rows others in
   let interference rows dt = Stage_common.demand_sum rows ~capped:false dt in
   let variant = (Ctx.config ctx).Config.variant in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in

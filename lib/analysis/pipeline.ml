@@ -34,13 +34,6 @@ let resp_egress =
   Gmf_obs.Metrics.histogram ~bounds:response_bounds Gmf_obs.Metrics.default
     "stage.response_ns.egress"
 
-(* Constant span names: selecting by match keeps the disabled path
-   allocation-free. *)
-let stage_span_name = function
-  | Stage.First_link _ -> "stage.first_link"
-  | Stage.Ingress _ -> "stage.ingress"
-  | Stage.Egress _ -> "stage.egress"
-
 let resp_hist = function
   | Stage.First_link _ -> resp_first_link
   | Stage.Ingress _ -> resp_ingress
@@ -55,13 +48,13 @@ let analyze_frame ctx ~flow ~frame =
   let stages = Stage.stages_of_route flow.Traffic.Flow.route in
   let tight = (Ctx.config ctx).Config.tight_jitter in
   let analyze_stage stage =
+    (* Every result is observed, memo hit or not, so the histograms do
+       not depend on how much work the memo saved. *)
     let result =
-      Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
-        (stage_span_name stage) (fun () ->
-          match stage with
-          | Stage.First_link _ -> First_hop.analyze ctx ~flow ~frame
-          | Stage.Ingress node -> Ingress.analyze ctx ~flow ~node ~frame
-          | Stage.Egress (node, _) -> Egress.analyze ctx ~flow ~node ~frame)
+      match stage with
+      | Stage.First_link _ -> First_hop.analyze ctx ~flow ~frame
+      | Stage.Ingress node -> Ingress.analyze ctx ~flow ~node ~frame
+      | Stage.Egress (node, _) -> Egress.analyze ctx ~flow ~node ~frame
     in
     (match result with
     | Ok sr ->
@@ -103,11 +96,12 @@ let analyze_frame ctx ~flow ~frame =
 (* Static impossibility gate: when a link or ingress rotation on this
    flow's route is utilization-overloaded, the busy-period recurrences
    provably diverge — skip them and fail with the diagnostic instead of
-   burning [max_busy_iters] iterations to find out. *)
+   burning [max_busy_iters] iterations to find out.  The context evaluates
+   the gate once per flow, not once per round. *)
 let lint_gate ctx ~flow =
-  match Gmf_lint.Rules.flow_gate (Ctx.scenario ctx) flow with
-  | [] -> None
-  | d :: _ ->
+  match Ctx.flow_gate ctx flow with
+  | None -> None
+  | Some d ->
       Some
         {
           Result_types.flow_id = flow.Traffic.Flow.id;

@@ -6,7 +6,11 @@
     jitter handed to the next stage).  Before each stage is analyzed, the
     frame's jitter at that stage is recorded in the context's jitter state
     so other flows see it in subsequent (or later-in-round) analyses — this
-    is the coupling the holistic iteration (Section 3.5) closes.
+    is the coupling the holistic iteration (Section 3.5) closes.  A stage
+    whose interferers' extras are unchanged since the context last
+    analyzed it is answered from the context's stage-result memo
+    ({!Stage_common.memoized}) with the same result, without re-running
+    its recurrences.
 
     The paper's Figure 6 skips the first-hop analysis for a route whose
     second node is already the destination; we analyze it (repair R5).
@@ -37,7 +41,8 @@ val analyze_flow :
     failing frame.
 
     Before any fixpoint runs, the [Gmf_lint.Rules.flow_gate] pre-pass
-    checks the utilization impossibility conditions ([GMF201]/[GMF203])
-    on the flow's route; a violated condition fails immediately with the
+    ({!Ctx.flow_gate}: evaluated once per flow and context) checks the
+    utilization impossibility conditions ([GMF201]/[GMF203]) on the
+    flow's route; a violated condition fails immediately with the
     rendered diagnostic as the reason — the recurrences would only have
     diverged against a cap. *)

@@ -46,10 +46,6 @@ let try_routes ?exec ?config ~base_flows ~topo ~switches flow routes =
   | Some (i, report) -> (Some (List.nth routes i), i + 1, Some report)
   | None -> (None, search.Case.evaluated, search.Case.last)
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 let admit ?exec ?config ?max_routes ?avoid_links ?avoid_nodes scenario
     ~candidate =
   let topo = Traffic.Scenario.topo scenario in
@@ -60,7 +56,7 @@ let admit ?exec ?config ?max_routes ?avoid_links ?avoid_nodes scenario
     try_routes ?exec ?config
       ~base_flows:(Traffic.Scenario.flows scenario)
       ~topo
-      ~switches:(switch_models scenario)
+      ~switches:(Traffic.Scenario.switch_models scenario)
       candidate routes
   in
   let report =

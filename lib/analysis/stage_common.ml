@@ -45,6 +45,51 @@ let demand_sum rows ~capped dt =
   done;
   !acc
 
+(* Work counters of the stage-result memo: analyses that ran their
+   recurrences, and analyses answered from the memo. *)
+let m_evaluations =
+  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.evaluations"
+
+let m_memo_hits =
+  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.memo_hits"
+
+(* Constant span names: selecting by match keeps the disabled path
+   allocation-free. *)
+let stage_span_name = function
+  | Stage.First_link _ -> "stage.first_link"
+  | Stage.Ingress _ -> "stage.ingress"
+  | Stage.Egress _ -> "stage.egress"
+
+let rec same_extras ctx ~stage (stored : Timeunit.ns array) i = function
+  | [] -> true
+  | j :: rest ->
+      stored.(i) = Ctx.extra ctx j ~stage
+      && same_extras ctx ~stage stored (i + 1) rest
+
+(* Exact: the recurrences read the jitter state only through the extras
+   of [flows], so equal extras give an equal result.  A hit reads only
+   those extras (no demand tables, no rows).  The extras are written after
+   [compute] returns, so an exception leaves the entry as it was.  A hit
+   opens no span: spans time work. *)
+let memoized ctx ~stage ~flow ~frame flows compute =
+  let e =
+    Ctx.memo_entry ctx ~flow:flow.Traffic.Flow.id ~frame ~stage
+      ~rows:(List.length flows)
+  in
+  match e.Ctx.result with
+  | Some r when same_extras ctx ~stage e.Ctx.extras 0 flows ->
+      Gmf_obs.Metrics.incr m_memo_hits;
+      r
+  | _ ->
+      Gmf_obs.Metrics.incr m_evaluations;
+      let r =
+        Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
+          (stage_span_name stage) compute
+      in
+      List.iteri (fun i j -> e.Ctx.extras.(i) <- Ctx.extra ctx j ~stage) flows;
+      e.Ctx.result <- Some r;
+      r
+
 (* Per-stage-kind convergence histograms: the profile subcommand reports
    where fixpoint iterations are spent across the three stage analyses. *)
 let iters_first_link =

@@ -60,3 +60,20 @@ val window_before : int array -> k:int -> len:int -> int
 (** [window_before arr ~k ~len] sums, cyclically, the [len] entries of
     [arr] preceding index [k] — the demand (or minimum separation) of the
     analyzed frame's [len] own predecessors.  0 when [len = 0]. *)
+
+val memoized :
+  Ctx.t ->
+  stage:Stage.t ->
+  flow:Traffic.Flow.t ->
+  frame:int ->
+  Traffic.Flow.t list ->
+  (unit -> Ctx.stage_result) ->
+  Ctx.stage_result
+(** [memoized ctx ~stage ~flow ~frame flows compute] is the stage result
+    stored in the context's memo ({!Ctx.memo_entry}) when it was computed
+    from the same extras at [stage] as [flows] have now, and otherwise
+    [compute ()] (normally {!interferers} then {!run}), which is then
+    stored with those extras.  [flows] must cover every flow whose extra
+    the recurrences read, the analyzed flow itself included, in a fixed
+    order.  Counts [stage.memo_hits] or [stage.evaluations]; only an
+    evaluation opens a [stage.*] span. *)

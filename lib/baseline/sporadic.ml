@@ -27,13 +27,9 @@ let convert_flow flow =
        ~priority:flow.Traffic.Flow.priority)
     flow.Traffic.Flow.remarks
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 let convert_scenario scenario =
   Traffic.Scenario.make
-    ~switches:(switch_models scenario)
+    ~switches:(Traffic.Scenario.switch_models scenario)
     ~topo:(Traffic.Scenario.topo scenario)
     ~flows:(List.map convert_flow (Traffic.Scenario.flows scenario))
     ()

@@ -139,10 +139,6 @@ let shed_order flows =
       | c -> c)
     flows
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 let delta_zero =
   { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0; d_warm = 0 }
 
@@ -190,7 +186,7 @@ let evaluate ~max_routes scenario case ~attempt =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
       let topo = Traffic.Scenario.topo scenario in
-      let switches = switch_models scenario in
+      let switches = Traffic.Scenario.switch_models scenario in
       let placed = place ~max_routes scenario case in
       let rec settle survivors shed rounds =
         let report =

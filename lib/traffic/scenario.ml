@@ -134,6 +134,8 @@ let switch_nodes t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.switches []
   |> List.sort compare
 
+let switch_models t = List.map (fun n -> (n, switch_model t n)) (switch_nodes t)
+
 let flows_on t ~src ~dst =
   match Hashtbl.find_opt t.on_link (src, dst) with
   | Some l -> l

@@ -47,6 +47,11 @@ val switch_model : t -> Network.Node.id -> Click.Switch_model.t
 val switch_nodes : t -> Network.Node.id list
 (** Every switch node with a model (explicit or defaulted), ascending. *)
 
+val switch_models : t -> (Network.Node.id * Click.Switch_model.t) list
+(** [(node, switch_model t node)] for every {!switch_nodes} entry — the
+    [~switches] argument that rebuilds a scenario (e.g. over another flow
+    set) with the same switch models. *)
+
 val circ : t -> Network.Node.id -> Gmf_util.Timeunit.ns
 (** CIRC(N) of a switch node. *)
 

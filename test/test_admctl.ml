@@ -499,6 +499,92 @@ let test_admission_duplicate_id () =
   | _ -> Alcotest.fail "admit_exn should raise on a duplicate id"
   | exception Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Analysis.Admission keeps the scenario's switch models               *)
+(* ------------------------------------------------------------------ *)
+
+let bounds (report : Analysis.Holistic.report) =
+  List.concat_map
+    (fun (r : Analysis.Result_types.flow_result) ->
+      Array.to_list r.Analysis.Result_types.frames
+      |> List.map (fun (fr : Analysis.Result_types.frame_result) ->
+             ( r.Analysis.Result_types.flow.Traffic.Flow.id,
+               fr.Analysis.Result_types.frame,
+               fr.Analysis.Result_types.total )))
+    report.Analysis.Holistic.results
+
+let replace_all ~sub ~by s =
+  let b = Buffer.create (String.length s) and n = String.length sub in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* The chain example with slower switch software (CROUTE 9 us instead of
+   the default 2.7 us): admitting its last flow to the other four must
+   decide exactly as {!Analysis.Admission.check} of the full scenario,
+   and its bounds must dominate the holistic fixpoint's under those
+   models (a rebuild under default models reports bounds below them). *)
+let test_admission_keeps_switch_models () =
+  let text =
+    In_channel.with_open_text "../examples/scenarios/chain.gmfnet"
+      In_channel.input_all
+  in
+  let slow = replace_all ~sub:"croute=2700ns" ~by:"croute=9000ns" text in
+  let full = scenario_of_string slow in
+  let flows = Traffic.Scenario.flows full in
+  let candidate = List.nth flows (List.length flows - 1) in
+  let base =
+    Traffic.Scenario.make
+      ~switches:(Traffic.Scenario.switch_models full)
+      ~topo:(Traffic.Scenario.topo full)
+      ~flows:(List.filter (fun f -> f != candidate) flows)
+      ()
+  in
+  let direct = (Analysis.Admission.check full).Analysis.Admission.report in
+  let fixpoint = bounds (Analysis.Holistic.analyze full) in
+  let gate_circ = ref [] in
+  let gate scenario =
+    gate_circ :=
+      List.map (Traffic.Scenario.circ scenario)
+        (Traffic.Scenario.switch_nodes scenario);
+    []
+  in
+  let decision = Analysis.Admission.admit ~gate base ~candidate in
+  Alcotest.(check bool)
+    "admitted as the direct analysis decides"
+    (Analysis.Holistic.is_schedulable direct)
+    decision.Analysis.Admission.admitted;
+  Alcotest.(check (list (triple int int int)))
+    "admit bounds = direct bounds" (bounds direct)
+    (bounds decision.Analysis.Admission.report);
+  List.iter2
+    (fun (id, frame, exact) (_, _, admitted) ->
+      if admitted < exact then
+        Alcotest.failf "flow %d frame %d: admitted bound %d below %d" id
+          frame admitted exact)
+    fixpoint
+    (bounds decision.Analysis.Admission.report);
+  Alcotest.(check (list (triple int int int)))
+    "admit_exn bounds = direct bounds" (bounds direct)
+    (bounds
+       (Analysis.Admission.admit_exn base ~candidate)
+         .Analysis.Admission.report);
+  Alcotest.(check (list int))
+    "gate sees the scenario's CIRC"
+    (List.map (Traffic.Scenario.circ full) (Traffic.Scenario.switch_nodes full))
+    !gate_circ
+
 let tests =
   [
     Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
@@ -517,6 +603,8 @@ let tests =
       test_parse_errors;
     Alcotest.test_case "Admission.admit duplicate id" `Quick
       test_admission_duplicate_id;
+    Alcotest.test_case "Admission keeps the switch models" `Quick
+      test_admission_keeps_switch_models;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     QCheck_alcotest.to_alcotest prop_trace_parser_total;
   ]
